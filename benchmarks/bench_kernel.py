@@ -6,7 +6,7 @@ schedule inserts and callback dispatch — so kernel throughput
 (events/sec) is the single number that bounds how fast any experiment
 can run.
 
-Seven workloads exercise the kernel's distinct hot paths:
+Eight workloads exercise the kernel's distinct hot paths:
 
 ``timeout_chain``
     One process doing back-to-back ``yield sim.timeout(1)`` — the
@@ -28,9 +28,8 @@ Seven workloads exercise the kernel's distinct hot paths:
 ``short_delay_fanout``
     Hundreds of concurrent processes each looping on small bare delays
     — the multi-tenant short-delay regime (per-WQE NIC processing,
-    link hops) where hundreds of timers are pending at once.  This is
-    the regime the timing wheel targets: the heap pays O(log n) per
-    pending-timer set, the wheel O(1).
+    link hops) where hundreds of timers are pending at once, so every
+    schedule insert and pop pays the heap's O(log n).
 ``short_timeout_fanout``
     The same fan-out expressed through ``sim.timeout`` — short-delay
     concurrency plus the Timeout allocation path.
@@ -47,15 +46,9 @@ versions, which is what makes the number comparable in
 ``BENCH_kernel.json`` — see ``scripts/perf_report.py`` for the recorded
 perf trajectory and the CI regression gate.
 
-Every workload builder and :func:`run_workload` accept a ``scheduler``
-argument (``"wheel"``/``"heap"``/``None``); ``None`` defers to the
-``REPRO_SCHEDULER`` environment default, so the same harness measures
-both scheduling structures.
-
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py
-    PYTHONPATH=src python benchmarks/bench_kernel.py --compare
 
 or under pytest-benchmark like the figure benches::
 
@@ -66,26 +59,24 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.stats import LatencyRecorder
 
-__all__ = ["WORKLOADS", "SHORT_DELAY_WORKLOADS", "run_workload",
-           "sweep_overhead", "sweep_overhead_compare", "traffic_overhead",
-           "main"]
+__all__ = ["WORKLOADS", "run_workload", "sweep_overhead",
+           "sweep_overhead_compare", "traffic_overhead", "main"]
 
 # Concurrent processes in the fan-out workloads.  Chosen to match the
 # multi-tenant regime from the paper's figure 8/9 setups (hundreds of
-# tenant threads with in-flight WQEs), and large enough that the heap
-# scheduler pays its O(log n) while the wheel stays O(1).
+# tenant threads with in-flight WQEs), so the heap holds hundreds of
+# pending entries and every insert/pop pays its O(log n).
 _FANOUT_PROCS = 384
 
 
-def timeout_chain(n: int,
-                  scheduler: Optional[str] = None) -> Tuple[Simulator, int]:
+def timeout_chain(n: int) -> Tuple[Simulator, int]:
     """One process, ``n`` sequential 1 ns timeouts.  ~n events."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
 
     def proc(sim):
         for _ in range(n):
@@ -95,10 +86,9 @@ def timeout_chain(n: int,
     return sim, n
 
 
-def delay_chain(n: int,
-                scheduler: Optional[str] = None) -> Tuple[Simulator, int]:
+def delay_chain(n: int) -> Tuple[Simulator, int]:
     """One process, ``n`` sequential bare-delay waits.  ~n events."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
 
     def proc(sim):
         for _ in range(n):
@@ -108,10 +98,9 @@ def delay_chain(n: int,
     return sim, n
 
 
-def event_pingpong(n: int,
-                   scheduler: Optional[str] = None) -> Tuple[Simulator, int]:
+def event_pingpong(n: int) -> Tuple[Simulator, int]:
     """Two processes exchanging ``n`` fresh events.  ~2n events."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     box = {"ping": sim.event(), "pong": None}
 
     def left(sim):
@@ -131,10 +120,9 @@ def event_pingpong(n: int,
     return sim, 2 * n
 
 
-def process_spawn(n: int,
-                  scheduler: Optional[str] = None) -> Tuple[Simulator, int]:
+def process_spawn(n: int) -> Tuple[Simulator, int]:
     """``n`` short-lived child processes joined by a parent.  ~3n events."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
 
     def child(sim):
         yield sim.timeout(1)
@@ -147,10 +135,9 @@ def process_spawn(n: int,
     return sim, 3 * n
 
 
-def fanin_allof(n: int, width: int = 4,
-                scheduler: Optional[str] = None) -> Tuple[Simulator, int]:
+def fanin_allof(n: int, width: int = 4) -> Tuple[Simulator, int]:
     """``n`` AllOf joins over ``width`` timeouts each.  ~n*(width+1) events."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
 
     def proc(sim):
         for _ in range(n):
@@ -161,13 +148,12 @@ def fanin_allof(n: int, width: int = 4,
 
 
 def short_delay_fanout(n: int,
-                       scheduler: Optional[str] = None,
                        procs: int = _FANOUT_PROCS) -> Tuple[Simulator, int]:
     """``procs`` concurrent processes looping on 1–7 ns bare delays.
 
     ~n events total with ~``procs`` timers pending at every instant.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     per = max(1, n // procs)
 
     def worker(sim, i):
@@ -181,13 +167,12 @@ def short_delay_fanout(n: int,
 
 
 def short_timeout_fanout(n: int,
-                         scheduler: Optional[str] = None,
                          procs: int = _FANOUT_PROCS) -> Tuple[Simulator, int]:
     """``procs`` concurrent processes looping on 1–13 ns timeouts.
 
     ~n events total with ~``procs`` timers pending at every instant.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     per = max(1, n // procs)
 
     def worker(sim, i):
@@ -201,18 +186,17 @@ def short_timeout_fanout(n: int,
 
 
 def sharded_deployment(n: int,
-                       scheduler: Optional[str] = None,
                        shards: int = 8,
                        hops: int = 3) -> Tuple[Simulator, int]:
     """``shards`` concurrent closed-loop router/chain pairs.
 
     Per op and shard: the router triggers a request event (one dispatch
     into the chain process), the chain walks ``hops`` bare-delay hops —
-    staggered per shard so wheel buckets spread like real chains — and
+    staggered per shard so the chains interleave like real ones — and
     triggers the ACK event (one dispatch back).  Exactly
     ``(hops + 2)`` events per op, ``per * shards * (hops + 2)`` total.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     per = max(1, n // (shards * (hops + 2)))
 
     def router(sim, box):
@@ -247,19 +231,13 @@ WORKLOADS: Dict[str, Callable[..., Tuple[Simulator, int]]] = {
     "sharded_deployment": sharded_deployment,
 }
 
-# The workloads in the short-delay regime the timing wheel targets —
-# the acceptance surface for the wheel-vs-heap speedup claim.
-SHORT_DELAY_WORKLOADS = ("short_delay_fanout", "short_timeout_fanout")
-
-
-def run_workload(name: str, n: int, repeats: int = 3,
-                 scheduler: Optional[str] = None) -> Dict[str, float]:
+def run_workload(name: str, n: int, repeats: int = 3) -> Dict[str, float]:
     """Best-of-``repeats`` run of one workload; returns events/sec stats."""
     build = WORKLOADS[name]
     best = float("inf")
     events = 0
     for _ in range(repeats):
-        sim, events = build(n, scheduler=scheduler)
+        sim, events = build(n)
         started = time.perf_counter()
         sim.run()
         elapsed = time.perf_counter() - started
@@ -272,31 +250,15 @@ def run_workload(name: str, n: int, repeats: int = 3,
     }
 
 
-def main(n: int = 100_000, repeats: int = 3,
-         scheduler: Optional[str] = None) -> Dict[str, Dict[str, float]]:
+def main(n: int = 100_000, repeats: int = 3) -> Dict[str, Dict[str, float]]:
     results = {}
     for name in WORKLOADS:
-        results[name] = run_workload(name, n, repeats=repeats,
-                                     scheduler=scheduler)
+        results[name] = run_workload(name, n, repeats=repeats)
         r = results[name]
         print(f"{name:<21} {r['events']:>9,} events  "
               f"{r['elapsed_s'] * 1e3:8.1f} ms  "
               f"{r['events_per_sec'] / 1e6:6.2f} M events/s")
     return results
-
-
-def compare(n: int = 100_000, repeats: int = 3) -> Dict[str, float]:
-    """Run every workload under both schedulers; print the speedup."""
-    ratios = {}
-    for name in WORKLOADS:
-        heap = run_workload(name, n, repeats=repeats, scheduler="heap")
-        wheel = run_workload(name, n, repeats=repeats, scheduler="wheel")
-        ratio = wheel["events_per_sec"] / heap["events_per_sec"]
-        ratios[name] = ratio
-        print(f"{name:<21} heap {heap['events_per_sec'] / 1e6:6.2f} M/s  "
-              f"wheel {wheel['events_per_sec'] / 1e6:6.2f} M/s  "
-              f"ratio {ratio:5.2f}x")
-    return ratios
 
 
 # ----------------------------------------------------------------------
@@ -509,11 +471,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=100_000)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--scheduler", choices=("wheel", "heap"),
-                        default=None)
-    parser.add_argument("--compare", action="store_true",
-                        help="run each workload under both schedulers "
-                             "and report the wheel/heap speedup")
     parser.add_argument("--sweep-overhead", action="store_true",
                         help="measure the sweep engine's result transport "
                              "(shm vs pickle) instead of kernel workloads")
@@ -528,7 +485,5 @@ if __name__ == "__main__":
         print(f"traffic_overhead      direct {r['direct_kops']:6.1f} kops/s"
               f"  admission {r['admission_kops']:6.1f} kops/s"
               f"  overhead {r['overhead'] * 100:+.1f}%")
-    elif cli.compare:
-        compare(cli.n, repeats=cli.repeats)
     else:
-        main(cli.n, repeats=cli.repeats, scheduler=cli.scheduler)
+        main(cli.n, repeats=cli.repeats)

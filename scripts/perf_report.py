@@ -112,9 +112,8 @@ def measure(quick: bool, transport: str = "both") -> dict:
     import bench_kernel
     from repro.experiments import fig8
 
-    # Quick stays large enough that events/sec has converged: the wheel's
-    # same-timestamp bucket path in particular reads low at n=20k and is
-    # within noise of the full-size rate from ~n=50k up.
+    # Quick stays large enough that events/sec has converged to within
+    # noise of the full-size rate (rates read low at n=20k).
     n = 50_000 if quick else 100_000
     kernel = {}
     for name in bench_kernel.WORKLOADS:

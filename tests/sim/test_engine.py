@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Interrupt, SimulationError
+from repro.sim.engine import Interrupt, SimulationError, Timeout
 
 
 class TestEvent:
@@ -92,6 +92,78 @@ class TestTimeout:
             sim.process(proc(sim, tag))
         sim.run()
         assert order == [0, 1, 2, 3, 4]
+
+
+
+class TestTimeoutValidation:
+    """Regression: ``Timeout`` built directly (not via ``sim.timeout``)
+    used to skip delay coercion and put a float timestamp on the heap,
+    breaking the integer-nanosecond clock invariant."""
+
+    def test_direct_fractional_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="whole number"):
+            Timeout(sim, 1.5)
+
+    def test_factory_fractional_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="whole number"):
+            sim.timeout(1.5)
+
+    def test_whole_float_coerced_to_int_clock(self, sim):
+        fired = []
+        Timeout(sim, 100.0).add_callback(lambda _e: fired.append(sim.now))
+        sim.run()
+        assert fired == [100]
+        assert type(fired[0]) is int
+
+    def test_direct_negative_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="negative"):
+            Timeout(sim, -5)
+
+
+class TestClockTimesAreWholeNs:
+    """``call_at``, ``run(until=)`` and ``run_until(deadline=)`` follow
+    ``Timeout``'s rule: whole-number floats and NumPy integers coerce to
+    an ``int`` clock, fractional values are rejected, never truncated."""
+
+    def test_call_at_fractional_time_rejected(self, sim):
+        with pytest.raises(ValueError, match="whole number of ns"):
+            sim.call_at(1500.5, lambda: None)
+        assert sim.peek() is None
+
+    def test_call_at_whole_float_and_numpy_coerce(self, sim):
+        np = pytest.importorskip("numpy")
+        fired = []
+        sim.call_at(1500.0, lambda: fired.append(sim.now))
+        sim.call_at(np.int64(2000), lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1500, 2000]
+        assert all(type(t) is int for t in fired)
+
+    def test_run_fractional_until_rejected(self, sim):
+        with pytest.raises(ValueError, match="whole number of ns"):
+            sim.run(until=2.7)
+        assert sim.now == 0
+
+    def test_run_whole_until_coerces(self, sim):
+        np = pytest.importorskip("numpy")
+        sim.run(until=2500.0)
+        assert sim.now == 2500 and type(sim.now) is int
+        sim.run(until=np.int64(3000))
+        assert sim.now == 3000 and type(sim.now) is int
+
+    def test_run_until_fractional_deadline_rejected(self, sim):
+        fired = []
+        sim.call_at(2, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="whole number of ns"):
+            sim.run_until(sim.event(), deadline=2.7)
+        assert fired == []
+
+    def test_run_until_whole_deadline_coerces(self, sim):
+        fired = []
+        sim.call_at(2, lambda: fired.append(sim.now))
+        sim.call_at(3, lambda: fired.append(sim.now))
+        sim.run_until(sim.event(), deadline=2.0)
+        assert fired == [2]
 
 
 class TestProcess:

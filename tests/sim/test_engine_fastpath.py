@@ -8,6 +8,8 @@ equal timestamps, interrupt staleness, combinator failure propagation
 order, and late-callback behaviour on processed events.
 """
 
+import pytest
+
 from repro.sim.engine import Interrupt, SimulationError, Simulator
 
 
@@ -153,6 +155,23 @@ class TestFifoTieBreak:
         second.succeed()
         sim.run()
         assert log == ["first", "second"]
+
+    def test_same_time_event_storm(self, sim):
+        """Zero-delay triggers scheduled while one timestamp dispatches
+        run in the same pass, in the order they were scheduled."""
+        log = []
+
+        def proc(sim, tag):
+            for i in range(10):
+                event = sim.event()
+                sim.call_at(sim.now, lambda e=event: e.succeed())
+                yield event
+                log.append((sim.now, tag, i))
+
+        for tag in range(8):
+            sim.process(proc(sim, tag))
+        sim.run()
+        assert log == [(0, tag, i) for i in range(10) for tag in range(8)]
 
 
 class TestCallbackSlots:
@@ -330,3 +349,65 @@ class TestRunUntil:
         sim.run_until(process, deadline=100)
         assert not process.triggered
         assert sim.now <= 100
+
+    def test_run_until_stop_and_resume(self):
+        """Stopping part-way through one timestamp's entries, then
+        continuing with run(), loses and reorders nothing."""
+        def build(sim, log):
+            stop_event = sim.event()
+            for i in range(12):
+                sim.timeout(50).add_callback(
+                    lambda _e, i=i: log.append((sim.now, i)))
+                if i == 5:
+                    sim.timeout(50).add_callback(
+                        lambda _e: stop_event.succeed())
+            return stop_event
+
+        sim, reference = Simulator(), []
+        build(sim, reference)
+        sim.run()
+
+        sim, log = Simulator(), []
+        stop_event = build(sim, log)
+        sim.run_until(stop_event)
+        marker = len(log)
+        sim.run()
+        assert 0 < marker < len(log)  # the stop actually split the batch
+        assert log == reference == [(50, i) for i in range(12)]
+
+    def test_run_limit_then_new_entries_fire_before_older(self, sim):
+        """After run(until=T) parks the clock, entries scheduled at
+        T+0 and T+100 fire before an older entry further out."""
+        log = []
+        sim.timeout(10_000).add_callback(lambda _e: log.append(sim.now))
+        sim.run(until=2_500)
+        sim.timeout(100).add_callback(lambda _e: log.append(sim.now))
+        sim.timeout(0).add_callback(lambda _e: log.append(sim.now))
+        sim.run()
+        assert log == [2500, 2600, 10000]
+
+
+class TestStepAndPeek:
+    def test_step_walk_matches_run_order(self):
+        delays = [0, 3, 3, 900, 1024, 5000, (1 << 20) + 7, 10 ** 8]
+
+        def build(sim, log):
+            for i, d in enumerate(delays):
+                sim.timeout(d).add_callback(
+                    lambda _e, i=i: log.append((sim.now, i)))
+
+        sim, reference = Simulator(), []
+        build(sim, reference)
+        sim.run()
+
+        sim, log, peeks = Simulator(), [], []
+        build(sim, log)
+        while sim.peek() is not None:
+            peeks.append(sim.peek())
+            sim.step()
+        assert log == reference
+        assert peeks == [now for now, _i in reference] == sorted(delays)
+
+    def test_step_on_empty_raises(self, sim):
+        with pytest.raises(IndexError):
+            sim.step()
